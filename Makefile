@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet lint bench bench-json alloc-gate chaos fuzz status-smoke fleet-smoke triage-smoke cloak-smoke check
+.PHONY: all build test race vet lint bench alloc-gate chaos fuzz status-smoke fleet-smoke triage-smoke cloak-smoke check
 
 all: build
 
@@ -64,11 +64,12 @@ chaos: status-smoke fleet-smoke triage-smoke cloak-smoke
 status-smoke:
 	$(GO) test -run 'StatusSmoke' ./cmd/phishcrawl/...
 
-# Distributed-determinism smoke: a coordinator and two loopback workers
-# crawl the feed as a fleet, one worker is SIGKILLed mid-lease (forcing a
-# lease expiry and re-issue) and a replacement joins mid-run, and the
-# coordinator's merged export must match a single-process run
-# byte-for-byte. See docs/DISTRIBUTED.md.
+# Distributed-determinism smoke: a coordinator and a loopback worker crawl
+# the feed as a fleet, the worker is SIGKILLed mid-lease once its shard
+# journal holds sessions (forcing a lease expiry and re-issue), a second
+# worker and a replacement join mid-run, and the coordinator's merged
+# export must match a single-process run byte-for-byte. See
+# docs/DISTRIBUTED.md.
 fleet-smoke:
 	$(GO) test -run 'FleetSmoke' ./cmd/phishcrawl/...
 
@@ -98,13 +99,6 @@ fuzz:
 # corpus with PHISH_BENCH_SITES (default 600).
 bench:
 	$(GO) test -run='^$$' -bench='BenchmarkDetect|BenchmarkOCRPage|BenchmarkCrawlThroughput|BenchmarkNewPipeline' -benchmem ./...
-
-# Machine-readable benchmark snapshot: runs the same selection as `bench`
-# plus the triage funnel benchmark, and writes BENCH_8.json (sites/sec,
-# ns/op, B/op, allocs/op, triage hit-rate and fast-path latency per
-# benchmark). Commit the refreshed file when perf-relevant code changes.
-bench-json:
-	$(GO) run ./cmd/benchjson -o BENCH_8.json
 
 # Allocation gates: the per-session allocs/op budgets and the
 # pooled-vs-unpooled byte-identity pins (testing.AllocsPerRun enforces the

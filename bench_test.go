@@ -334,44 +334,14 @@ func BenchmarkCampaignClustering(b *testing.B) {
 	b.ReportMetric(float64(p.Corpus.Campaigns), "generated-campaigns")
 }
 
-// BenchmarkFarmThroughput measures end-to-end crawl throughput (Section
-// 4.6: the paper sustains >1,000 sites/day on 30 parallel sessions).
-func BenchmarkFarmThroughput(b *testing.B) {
-	p := pipeline(b)
-	urls := p.Feed.URLs()
-	if len(urls) > 100 {
-		urls = urls[:100]
-	}
-	var stats farm.Stats
-	for i := 0; i < b.N; i++ {
-		_, stats = farm.Run(farm.Config{Workers: 30, Crawler: p.Crawler}, urls)
-	}
-	b.ReportMetric(stats.SitesPerDay(), "sites/day")
-}
-
 // --- Hot-path micro-benches (perf harness) ---
 //
-// These three benches capture the visual hot path's cost so optimizations
-// land with a reproducible before/after number (see the "Performance"
-// section of README.md). They deliberately exercise the exact call shapes
-// the crawler uses per page: one detector pass, the per-field OCR label
-// search, and the end-to-end farm loop.
-
-// BenchmarkDetect measures one full detector pass (proposals + features +
-// NMS) over a generated page screenshot.
-func BenchmarkDetect(b *testing.B) {
-	det, err := vision.Train(pagegen.GenerateSet(200, 1, pagegen.Config{}), 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pages := pagegen.GenerateSet(8, 9, pagegen.Config{})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		det.Detect(pages[i%len(pages)].Image)
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/page")
-}
+// These benches capture the visual hot path's cost so optimizations land
+// with a reproducible before/after number (see the "Performance" section of
+// README.md). They deliberately exercise the exact call shapes the crawler
+// uses per page: the per-field OCR label search and the end-to-end farm
+// loop. The detector pass is internal/vision's BenchmarkDetect, which
+// `make bench` selects alongside these.
 
 // BenchmarkOCRPage measures the OCR work one crawled page costs: the
 // label search left of and above each input box (Section 4.1 step 3),

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"os"
 	"os/exec"
@@ -26,12 +27,45 @@ func pollFleetStatus(addr string) (fleet.Status, error) {
 	return st, err
 }
 
+// heldLease returns the lease worker name holds in st, if any.
+func heldLease(st fleet.Status, name string) (fleet.Lease, bool) {
+	for _, w := range st.Workers {
+		if w.Name != name || w.Lease == "" {
+			continue
+		}
+		var l fleet.Lease
+		if _, err := fmt.Sscanf(w.Lease, "[%d,%d)", &l.Start, &l.End); err != nil {
+			return l, false
+		}
+		l.Attempt = w.Attempt
+		return l, true
+	}
+	return fleet.Lease{}, false
+}
+
+// shardHasSessions reports whether a shard journal directory holds any
+// appended record: its segments start empty, and a fleet run without
+// triage or cloaking appends session records until the lease finishes.
+func shardHasSessions(t *testing.T, dir string) bool {
+	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seg := range segs {
+		if fi, err := os.Stat(seg); err == nil && fi.Size() > 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // TestFleetSmoke is the distributed-determinism smoke run wired into
-// `make fleet-smoke` (and `make chaos`): a coordinator and two workers
-// crawl the feed as a fleet, one worker is SIGKILLed mid-lease (its range
-// must expire and be re-issued) and a replacement joins mid-run, and the
-// coordinator's merged export and per-stage timing table must match a
-// single-process run byte-for-byte — N processes × M workers ≡ 1 × 1.
+// `make fleet-smoke` (and `make chaos`): a coordinator and a first worker
+// crawl the feed as a fleet, that worker is SIGKILLed mid-lease (its range
+// must expire and be re-issued), a second worker and then a replacement
+// join mid-run, and the coordinator's merged export and per-stage timing
+// table must match a single-process run byte-for-byte — N processes × M
+// workers ≡ 1 × 1.
 func TestFleetSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the binary and runs a multi-process fleet")
@@ -112,38 +146,35 @@ func TestFleetSmoke(t *testing.T) {
 		}
 		return w
 	}
+	// w1 crawls alone until it is killed, so the fleet cannot finish
+	// without it. It is SIGKILLed once it holds a lease whose shard journal
+	// already has sessions on disk — a mid-lease kill with partial work, so
+	// the range MUST be re-issued and resumed. The journal, not the
+	// heartbeat's Done count, is the progress signal: a lease can finish
+	// inside one heartbeat interval, before any heartbeat reports it.
 	victim := startWorker("w1")
-	survivor := startWorker("w2")
-
-	// SIGKILL w1 once the coordinator confirms it holds a lease and has
-	// crawled into it — a mid-lease kill, so the range MUST be re-issued.
 	deadline = time.Now().Add(120 * time.Second)
 	for {
 		st, err := pollFleetStatus(addr)
 		if err == nil {
-			killed := false
-			for _, w := range st.Workers {
-				if w.Name == "w1" && w.Lease != "" && w.Done > 0 {
-					t.Logf("killing w1 mid-lease %s (%d sessions in)", w.Lease, w.Done)
-					if err := victim.Process.Kill(); err != nil {
-						t.Fatal(err)
-					}
-					victim.Wait()
-					killed = true
-				}
-			}
-			if killed {
-				break
-			}
 			if st.LeasesDone == st.Leases {
-				t.Fatal("fleet finished before w1 could be killed mid-lease; lower -lease-sites or slow the crawl")
+				t.Fatal("fleet finished before w1 could be killed mid-lease; raise -sites")
+			}
+			if w, ok := heldLease(st, "w1"); ok && shardHasSessions(t, fleet.ShardDir(jdir, w)) {
+				t.Logf("killing w1 mid-lease %s (attempt %d)", w.Range(), w.Attempt)
+				if err := victim.Process.Kill(); err != nil {
+					t.Fatal(err)
+				}
+				victim.Wait()
+				break
 			}
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("w1 never held a lease with progress; coordinator log:\n%s", readCoordLog())
+			t.Fatalf("w1 never journaled a session into a held lease; coordinator log:\n%s", readCoordLog())
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+	survivor := startWorker("w2")
 
 	// A replacement joins mid-run, like an operator restarting the dead
 	// process.

@@ -21,6 +21,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/phash"
 	"repro/internal/script"
+	"repro/internal/triage"
 	"repro/internal/vision"
 )
 
@@ -140,27 +141,20 @@ func BrandCounts(logs []*crawler.SessionLog) *metrics.Histogram {
 	return h
 }
 
-// CampaignClusterThreshold is the pHash distance below which two first
-// pages are considered the same campaign design. Calibrated against the
-// corpus: identical kit deployments hash identically (distance 0) while
-// distinct campaigns sit at distance >= 10 even when they share a brand.
-const CampaignClusterThreshold = 8
-
 // ClusterCampaigns groups sessions into campaigns by first-page perceptual
-// hash (Section 4.6) and returns the number of clusters.
+// similarity (Section 4.6) and returns the number of campaigns. It walks
+// the logs in order through the triage campaign index at
+// triage.DefaultCampaignThreshold, the same assignment a triage plan makes
+// over its probes; sessions without a healthy first page (failed, gave up,
+// or landed on a takedown notice) found no campaign.
 func ClusterCampaigns(logs []*crawler.SessionLog) int {
-	hashes := make([]phash.Hash, 0, len(logs))
+	ix := triage.NewIndex()
 	for _, l := range logs {
-		hashes = append(hashes, l.FirstPageEmbedding.PHash)
-	}
-	assign := phash.Cluster(hashes, CampaignClusterThreshold)
-	max := -1
-	for _, a := range assign {
-		if a > max {
-			max = a
+		if fp := triage.LogFingerprint(l); fp != nil {
+			ix.Assign(fp, triage.DefaultCampaignThreshold)
 		}
 	}
-	return max + 1
+	return ix.Len()
 }
 
 // sitePages returns the session's pages on the phishing site itself,

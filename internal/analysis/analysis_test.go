@@ -4,15 +4,19 @@ import (
 	"math"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/brands"
 	"repro/internal/captcha"
+	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/crawler"
+	"repro/internal/farm"
 	"repro/internal/fieldspec"
 	"repro/internal/site"
 	"repro/internal/termclass"
+	"repro/internal/triage"
 )
 
 // The integration pipeline: a 400-site corpus crawled end-to-end, shared by
@@ -414,17 +418,50 @@ func TestCloningTable3(t *testing.T) {
 	}
 }
 
+// TestClusterCampaigns pins the one campaign identity: on a healthy
+// triage run, clustering the finished session logs reproduces exactly the
+// campaigns the triage plan founded from its probes.
 func TestClusterCampaigns(t *testing.T) {
-	p := pipeline(t)
+	p, err := core.NewPipeline(core.Options{NumSites: pipeSites, Seed: 11, Workers: 16, Triage: &triage.Options{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Crawl()
 	n := analysis.ClusterCampaigns(p.Logs)
-	if n == 0 {
-		t.Fatal("no clusters")
+	if n == 0 || n != p.Triage.Campaigns {
+		t.Fatalf("ClusterCampaigns = %d, triage plan founded %d campaigns", n, p.Triage.Campaigns)
 	}
-	if n > len(p.Logs) {
-		t.Errorf("more clusters (%d) than sites (%d)", n, len(p.Logs))
+}
+
+// TestClusterCampaignsSkipsFailedSessions: on a fault-injected feed,
+// sessions that gave up or landed on a takedown notice have no healthy
+// first page, so they found no campaign — not one shared "campaign" of
+// empty hashes, nor one of suspension pages.
+func TestClusterCampaignsSkipsFailedSessions(t *testing.T) {
+	prof := chaos.DefaultProfile()
+	p, err := core.NewPipeline(core.Options{NumSites: 200, Seed: 11, Workers: 16,
+		Chaos: &prof, FetchTimeout: 250 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Clusters should be far fewer than sites (campaigns share design).
-	if float64(n) > 0.9*float64(len(p.Logs)) {
-		t.Errorf("clustering found %d clusters for %d sites — designs not shared?", n, len(p.Logs))
+	p.Crawl()
+	var failed []*crawler.SessionLog
+	gaveUp, takedown := 0, 0
+	for _, l := range p.Logs {
+		switch l.Outcome {
+		case farm.OutcomeGaveUp:
+			gaveUp++
+		case crawler.OutcomeTakedown:
+			takedown++
+		default:
+			continue
+		}
+		failed = append(failed, l)
+	}
+	if gaveUp == 0 || takedown == 0 {
+		t.Fatalf("chaos feed produced %d gave-up and %d takedown sessions; want both", gaveUp, takedown)
+	}
+	if n := analysis.ClusterCampaigns(failed); n != 0 {
+		t.Errorf("%d gave-up and %d takedown sessions founded %d campaigns, want 0", gaveUp, takedown, n)
 	}
 }

@@ -20,15 +20,3 @@ func ExampleDistance() {
 	// true
 	// false
 }
-
-func ExampleCluster() {
-	kitA := raster.New(100, 100, raster.White)
-	kitA.Fill(raster.R(0, 0, 100, 20), raster.Blue)
-	kitB := raster.New(100, 100, raster.Maroon)
-	hashes := []phash.Hash{
-		phash.Compute(kitA), phash.Compute(kitA), // two deployments of kit A
-		phash.Compute(kitB), // one of kit B
-	}
-	fmt.Println(phash.Cluster(hashes, phash.DefaultSimilarityThreshold))
-	// Output: [0 0 1]
-}

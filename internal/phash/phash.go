@@ -1,7 +1,8 @@
 // Package phash implements perceptual hashing of raster images, used in two
-// places mirroring the paper: clustering phishing first pages into campaigns
-// (Section 4.6, "using perceptual hashing, in a way similar to previous
-// work") and the visual-CAPTCHA verification heuristic of Section 5.3.2
+// places mirroring the paper: the first-page fingerprint the campaign index
+// (internal/triage) groups phishing sites by (Section 4.6, "using
+// perceptual hashing, in a way similar to previous work") and the
+// visual-CAPTCHA verification heuristic of Section 5.3.2
 // (a detection is kept only if its pHash is within distance 20 of at least 3
 // training exemplars).
 //
@@ -110,31 +111,6 @@ const DefaultSimilarityThreshold = 20
 // Similar reports whether two hashes are within the default threshold.
 func Similar(a, b Hash) bool {
 	return Distance(a, b) <= DefaultSimilarityThreshold
-}
-
-// Cluster groups items by hash similarity using single-linkage greedy
-// assignment: each item joins the first cluster whose exemplar is within
-// threshold, otherwise it starts a new cluster. Returns the cluster index of
-// each input. This is how first-page screenshots are grouped into phishing
-// campaigns.
-func Cluster(hashes []Hash, threshold int) []int {
-	assign := make([]int, len(hashes))
-	var exemplars []Hash
-	for i, h := range hashes {
-		found := -1
-		for ci, ex := range exemplars {
-			if Distance(h, ex) <= threshold {
-				found = ci
-				break
-			}
-		}
-		if found < 0 {
-			found = len(exemplars)
-			exemplars = append(exemplars, h)
-		}
-		assign[i] = found
-	}
-	return assign
 }
 
 // NearCount returns how many of the exemplars are within threshold of h,

@@ -96,38 +96,6 @@ func TestEmptyImage(t *testing.T) {
 	_ = Compute(tiny) // must not panic
 }
 
-func TestClusterGroupsCampaigns(t *testing.T) {
-	// 3 copies of design A, 2 of design B, 1 unique -> 3 clusters.
-	var hashes []Hash
-	for i := 0; i < 3; i++ {
-		img := pageA()
-		img.DrawString("V", 380+0, 290, raster.Gray) // trivial variation
-		hashes = append(hashes, Compute(img))
-	}
-	for i := 0; i < 2; i++ {
-		hashes = append(hashes, Compute(pageB()))
-	}
-	unique := raster.New(400, 300, raster.Olive)
-	hashes = append(hashes, Compute(unique))
-
-	assign := Cluster(hashes, DefaultSimilarityThreshold)
-	if assign[0] != assign[1] || assign[1] != assign[2] {
-		t.Errorf("design A copies split: %v", assign)
-	}
-	if assign[3] != assign[4] {
-		t.Errorf("design B copies split: %v", assign)
-	}
-	if assign[0] == assign[3] || assign[0] == assign[5] || assign[3] == assign[5] {
-		t.Errorf("distinct designs merged: %v", assign)
-	}
-}
-
-func TestClusterEmpty(t *testing.T) {
-	if got := Cluster(nil, 10); len(got) != 0 {
-		t.Errorf("Cluster(nil) = %v", got)
-	}
-}
-
 func TestNearCount(t *testing.T) {
 	base := Compute(pageA())
 	exemplars := []Hash{base, base, Compute(pageB())}
@@ -164,21 +132,5 @@ func BenchmarkCompute(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		Compute(img)
-	}
-}
-
-func BenchmarkCluster1000(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	hashes := make([]Hash, 1000)
-	for i := range hashes {
-		// ~50 base designs with small perturbations.
-		base := Hash{uint64(i % 50), uint64(i % 50 * 7), 0, 0}
-		base[2] = uint64(rng.Intn(4))
-		hashes[i] = base
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Cluster(hashes, 20)
 	}
 }

@@ -57,12 +57,7 @@ func probe(newBrowser func() *browser.Browser, rawURL string) Fingerprint {
 	fp.Status = page.Status
 	fp.Title = dom.Title(page.Doc)
 	fp.Text = page.Doc.InnerText()
-	if page.Status >= http.StatusInternalServerError {
-		fp.Err = crawler.OutcomeServerError
-		return fp
-	}
-	if crawler.IsTakedownText(fp.Title, fp.Text) {
-		fp.Err = crawler.OutcomeTakedown
+	if fp.Err = landingFailure(fp.Status, fp.Title, fp.Text); fp.Err != "" {
 		return fp
 	}
 	shot := page.Screenshot()
@@ -72,6 +67,44 @@ func probe(newBrowser func() *browser.Browser, rawURL string) Fingerprint {
 	fp.ContentHash = contentHash(fp.DOMHash, fp.Title, fp.Text, fp.PHash)
 	fp.OK = true
 	return fp
+}
+
+// landingFailure is the health rule for a landing page: a 5xx status or a
+// hosting provider's takedown notice is not a campaign page. It returns the
+// failure-taxonomy class, or "" for a healthy page. The probe and
+// LogFingerprint share it, so a page founds a campaign in a triage plan
+// exactly when it would in a clustering of finished sessions.
+func landingFailure(status int, title, text string) string {
+	switch {
+	case status >= http.StatusInternalServerError:
+		return crawler.OutcomeServerError
+	case crawler.IsTakedownText(title, text):
+		return crawler.OutcomeTakedown
+	}
+	return ""
+}
+
+// LogFingerprint rebuilds the campaign identity (content hash, pHash,
+// embedding) the probe would have fingerprinted for a finished session's
+// landing page, from the session's first page and first-page embedding. It
+// returns nil when the session has no first page (it failed before one
+// loaded) or that page fails the probe's health rule: such a session founds
+// no campaign.
+func LogFingerprint(lg *crawler.SessionLog) *Fingerprint {
+	if len(lg.Pages) == 0 {
+		return nil
+	}
+	pg := &lg.Pages[0]
+	if landingFailure(pg.Status, pg.Title, pg.Text) != "" {
+		return nil
+	}
+	return &Fingerprint{
+		URL:         lg.SeedURL,
+		ContentHash: contentHash(pg.DOMHash, pg.Title, pg.Text, pg.PHash),
+		PHash:       pg.PHash,
+		Emb:         lg.FirstPageEmbedding,
+		OK:          true,
+	}
 }
 
 // contentHash folds a page's structural hash, visible text, and rendering

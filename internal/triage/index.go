@@ -26,10 +26,10 @@ const DefaultCampaignThreshold = 0.9
 // Similarity scores two fingerprints in [0, 1]. Equal non-empty content
 // hashes are a byte-identical kit deployment: similarity 1. Otherwise the
 // perceptual distance blends the raw pHash (normalized over the meaningful
-// range, 16 bits — twice the distance-8 radius analysis clusters campaigns
-// at, so a distinct campaign at distance >= 8 already loses >= 0.25
-// similarity from this term alone) with the visualphish embedding distance
-// (thumbnail + histogram + hash; its same-design range is ~[0, 0.5]).
+// range, 16 bits, so a distinct campaign at distance >= 10 already loses
+// >= 0.31 similarity from this term alone) with the visualphish embedding
+// distance (thumbnail + histogram + hash; its same-design range is
+// ~[0, 0.5]).
 func Similarity(a, b *Fingerprint) float64 {
 	if a.ContentHash != "" && a.ContentHash == b.ContentHash {
 		return 1
@@ -122,5 +122,15 @@ func (ix *Index) Lookup(fp *Fingerprint) (campaign int, sim float64, ok bool) {
 	return best, bestSim, true
 }
 
-// Rep returns campaign id's representative fingerprint.
-func (ix *Index) Rep(id int) *Fingerprint { return ix.reps[id] }
+// Assign is the feed-order campaign assignment step: fp joins the most
+// similar indexed campaign when that similarity reaches threshold, and
+// otherwise founds a new campaign it represents. attributed reports which
+// happened; sim is the attribution similarity (0 for a founding). Triage
+// plans and analysis.ClusterCampaigns both assign through it, so the two
+// agree on one corpus.
+func (ix *Index) Assign(fp *Fingerprint, threshold float64) (campaign int, sim float64, attributed bool) {
+	if id, s, ok := ix.Lookup(fp); ok && s >= threshold {
+		return id, s, true
+	}
+	return ix.Add(fp), 0, false
+}

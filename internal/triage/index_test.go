@@ -124,3 +124,39 @@ func TestSimilarityScale(t *testing.T) {
 		t.Errorf("Similarity with empty content hashes = %g, want < 1 (no exact-clone match)", s)
 	}
 }
+
+// TestAssignGroupsCampaigns: walked in feed order, near-copies of a design
+// join the campaign its first copy founded, while a distinct design that
+// still collides in some bands founds its own.
+func TestAssignGroupsCampaigns(t *testing.T) {
+	kitA := phash.Hash{0x0123456789ABCDEF, 0xFEDCBA9876543210, 0xAAAA5555AAAA5555, 0x00FF00FF00FF00FF}
+	kitB := kitA
+	for bit := 0; bit < 96; bit += 8 { // 12 bits across bands 0-5
+		kitB = flipBit(kitB, bit)
+	}
+	feed := []*Fingerprint{
+		mkFP("", kitA, raster.Blue),
+		mkFP("", flipBit(kitA, 7), raster.Blue),
+		mkFP("", kitB, raster.Red),
+		mkFP("", flipBit(kitB, 200), raster.Red),
+		mkFP("", kitA, raster.Blue),
+	}
+	want := []struct {
+		id         int
+		attributed bool
+	}{{0, false}, {0, true}, {1, false}, {1, true}, {0, true}}
+	ix := NewIndex()
+	for i, fp := range feed {
+		id, sim, attributed := ix.Assign(fp, DefaultCampaignThreshold)
+		if id != want[i].id || attributed != want[i].attributed {
+			t.Errorf("entry %d: Assign = (%d, %g, %v), want campaign %d attributed=%v",
+				i, id, sim, attributed, want[i].id, want[i].attributed)
+		}
+		if attributed != (sim >= DefaultCampaignThreshold) || !attributed && sim != 0 {
+			t.Errorf("entry %d: similarity %g inconsistent with attributed=%v", i, sim, attributed)
+		}
+	}
+	if ix.Len() != 2 {
+		t.Errorf("index holds %d campaigns, want 2", ix.Len())
+	}
+}

@@ -111,12 +111,11 @@ func BuildPlan(urls []string, cfg Config) *Plan {
 		case fps[i] == nil || !fps[i].OK:
 			// Unhealthy probe: the full session classifies the failure.
 		default:
-			if id, sim, ok := ix.Lookup(fps[i]); ok && sim >= opts.CampaignThreshold {
+			id, sim, attributed := ix.Assign(fps[i], opts.CampaignThreshold)
+			e.Campaign = CampaignKey(id)
+			if attributed {
 				e.Decision = DecisionAttributed
-				e.Campaign = CampaignKey(id)
 				e.Similarity = sim
-			} else {
-				e.Campaign = CampaignKey(ix.Add(fps[i]))
 			}
 		}
 		p.Entries[i] = e
