@@ -11,16 +11,15 @@ build:
 	$(GO) build ./...
 
 # Default test gate: lint first (gofmt, go vet, phishvet), the full suite,
-# then the race detector over the resilience-critical packages (retry
-# queue, fault injector, context deadlines) so a data race on the farm's
-# new retry paths fails `make test`.
-test: lint
+# then the race detector (`race`) so a data race on the concurrent paths
+# fails `make test`.
+test: lint race
 	$(GO) test ./...
-	$(GO) test -race ./internal/farm/... ./internal/chaos/... ./internal/browser/... ./internal/fleet/...
 
-# The farm and crawler are the concurrent hot paths (shared stage-timing
-# collector, worker pool over one crawler template, retry re-enqueues), and
-# the fleet coordinator serves concurrent workers; keep them race-clean.
+# The farm and crawler are the concurrent hot paths (worker pool over one
+# crawler template, retry re-enqueues), the chaos injector and browser
+# carry the fault and deadline paths, and the fleet coordinator serves
+# concurrent workers; keep them race-clean.
 race:
 	$(GO) test -race ./internal/farm/... ./internal/crawler/... ./internal/chaos/... ./internal/browser/... ./internal/fleet/...
 

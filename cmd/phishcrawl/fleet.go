@@ -30,20 +30,24 @@ type fleetCLI struct {
 	workerName  string
 }
 
-// fleetParams pins the deterministic universe both fleet roles must share.
-// The chaos profile is fingerprinted so a coordinator running a
-// fault-injected crawl refuses workers serving a healthy feed (and vice
-// versa) — a mismatch would merge sessions from two different universes.
+// fleetParams pins the deterministic universe both fleet roles must share:
+// the corpus knobs, fault injection, and every crawl knob that changes
+// session bytes, at the values the pipeline actually runs with — so a
+// worker that left -retries at 0 matches a coordinator given -retries 2,
+// but one with a different -fetch-timeout is refused instead of merging
+// sessions from another universe.
 func fleetParams(opts core.Options, feedURLs int) fleet.Params {
+	opts = opts.WithDefaults()
 	p := fleet.Params{
-		Sites:       opts.NumSites,
-		Seed:        opts.Seed,
-		ChaosSeed:   opts.ChaosSeed,
-		FeedURLs:    feedURLs,
-		MinCampaign: opts.MinCampaignSize,
-	}
-	if opts.Chaos != nil {
-		p.Chaos = fmt.Sprintf("%+v", *opts.Chaos)
+		Sites:         opts.NumSites,
+		Seed:          opts.Seed,
+		Chaos:         opts.Chaos != nil,
+		FeedURLs:      feedURLs,
+		DetectorTrain: opts.DetectorTrainPages,
+		FetchTimeout:  opts.FetchTimeout,
+		SessionBudget: opts.SessionBudget,
+		Retries:       opts.MaxRetries,
+		MinCampaign:   opts.MinCampaignSize,
 	}
 	if opts.Triage != nil {
 		p.Triage = fmt.Sprintf("threshold=%g,topk=%d", opts.Triage.CampaignThreshold, opts.Triage.TopK)
@@ -90,7 +94,7 @@ func runCoordinator(opts core.Options, fl fleetCLI) {
 	fmt.Printf("Corpus: %d sites in %d campaigns. Fleet: coordinating %d URLs on http://%s\n",
 		len(corpus.Sites), corpus.Campaigns, len(urls), ln.Addr())
 	if fl.statusAddr != "" {
-		statusSrv, addr, err := startFleetStatus(fl.statusAddr, coord)
+		statusSrv, addr, err := serveStatus(fl.statusAddr, coord.StatusHandler())
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -98,7 +102,7 @@ func runCoordinator(opts core.Options, fl fleetCLI) {
 		fmt.Printf("Status: serving fleet-wide progress on http://%s/status\n", addr)
 	}
 	if fl.progress > 0 {
-		defer startFleetProgressLog(coord, fl.progress)()
+		defer startProgressLog(func() string { return coord.Status().String() }, fl.progress)()
 	}
 	<-coord.Done()
 	// Merge with the server still up: late workers polling for a lease get
@@ -185,45 +189,6 @@ func runWorkerMode(opts core.Options, fl fleetCLI) {
 	}
 }
 
-// startFleetStatus serves the coordinator's fleet-wide progress view at
-// addr — the fleet-mode counterpart of startStatus: per-worker leases,
-// URL/lease totals, ETA, and the merged per-stage latency percentiles.
-func startFleetStatus(addr string, coord *fleet.Coordinator) (*http.Server, string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, "", fmt.Errorf("-status-addr %s: %w", addr, err)
-	}
-	srv := &http.Server{Handler: coord.Handler()}
-	//phishvet:ignore goroleak: Serve is stopped by the caller's deferred srv.Close; its return error is the normal ErrServerClosed
-	go srv.Serve(ln)
-	return srv, ln.Addr().String(), nil
-}
-
-// startFleetProgressLog prints the fleet status block to stderr every
-// interval, plus one final snapshot on stop.
-func startFleetProgressLog(coord *fleet.Coordinator, every time.Duration) (stop func()) {
-	tick := time.NewTicker(every)
-	done := make(chan struct{})
-	finished := make(chan struct{})
-	go func() {
-		defer close(finished)
-		for {
-			select {
-			case <-tick.C:
-				fmt.Fprintln(os.Stderr, coord.Status().String())
-			case <-done:
-				return
-			}
-		}
-	}()
-	return func() {
-		tick.Stop()
-		close(done)
-		<-finished
-		fmt.Fprintln(os.Stderr, coord.Status().String())
-	}
-}
-
 // parseSyncPolicy maps the -journal-sync flag to the journal's policy.
 func parseSyncPolicy(s string) (journal.SyncPolicy, error) {
 	switch s {
@@ -231,10 +196,8 @@ func parseSyncPolicy(s string) (journal.SyncPolicy, error) {
 		return journal.SyncAlways, nil
 	case "group":
 		return journal.SyncGroup, nil
-	case "batch":
-		return journal.SyncBatch, nil
 	case "none":
 		return journal.SyncNone, nil
 	}
-	return 0, fmt.Errorf("unknown -journal-sync %q (want always, group, batch, or none)", s)
+	return 0, fmt.Errorf("unknown -journal-sync %q (want always, group, or none)", s)
 }

@@ -12,6 +12,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/browser"
+	"repro/internal/core"
+	"repro/internal/crawler"
+	"repro/internal/farm"
 	"repro/internal/fleet"
 )
 
@@ -217,5 +221,71 @@ func TestFleetSmoke(t *testing.T) {
 		}
 		t.Fatalf("fleet export diverges from single-process run at line %d (single %d lines, fleet %d)",
 			n+1, len(cl), len(fl))
+	}
+}
+
+// TestFleetParamsPinCrawlKnobs pins the fleet fingerprint to every crawl
+// knob that changes session bytes: a worker differing from the
+// coordinator in any one of them must be refused, while spelling a
+// default out explicitly must not matter.
+func TestFleetParamsPinCrawlKnobs(t *testing.T) {
+	base := core.Options{NumSites: 50, Seed: 42}
+	want := fleetParams(base, 50)
+	for name, mutate := range map[string]func(*core.Options){
+		"-detector-train": func(o *core.Options) { o.DetectorTrainPages = 150 },
+		"-fetch-timeout":  func(o *core.Options) { o.FetchTimeout = 250 * time.Millisecond },
+		"-session-budget": func(o *core.Options) { o.SessionBudget = time.Second },
+		"-retries":        func(o *core.Options) { o.MaxRetries = 5 },
+	} {
+		o := base
+		mutate(&o)
+		if got := fleetParams(o, 50); got == want {
+			t.Errorf("%s does not change the fleet fingerprint (%s)", name, got)
+		}
+	}
+	explicit := base
+	explicit.DetectorTrainPages = 600
+	explicit.FetchTimeout = browser.DefaultFetchTimeout
+	explicit.SessionBudget = crawler.DefaultSessionBudget
+	explicit.MaxRetries = farm.DefaultMaxRetries
+	if got := fleetParams(explicit, 50); got != want {
+		t.Errorf("explicit defaults change the fingerprint:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestStatusAddrServesOnlyStatus pins the coordinator's -status-addr
+// port to the read-only progress view: the lease protocol lives on
+// -fleet-addr alone.
+func TestStatusAddrServesOnlyStatus(t *testing.T) {
+	coord, err := fleet.NewCoordinator(fleet.CoordinatorConfig{
+		URLs:   []string{"http://a.test/", "http://b.test/"},
+		Params: fleet.Params{Sites: 2, Seed: 1, FeedURLs: 2},
+		Root:   t.TempDir(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, addr, err := serveStatus("127.0.0.1:0", coord.StatusHandler())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	resp, err := http.Get("http://" + addr + fleet.PathStatus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s = %s, want 200", fleet.PathStatus, resp.Status)
+	}
+	for _, path := range []string{fleet.PathLease, fleet.PathHeartbeat, fleet.PathResult} {
+		resp, err := http.Post("http://"+addr+path, "application/json", strings.NewReader(`{"worker":"w"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("POST %s on the status address = %s, want 404", path, resp.Status)
+		}
 	}
 }

@@ -1,15 +1,18 @@
 // Command phishcrawl runs the full measurement pipeline: generate the
 // corpus, serve it, train the crawler's models, and crawl every site with
 // the farm, printing per-outcome statistics, the failure taxonomy,
-// per-stage timings, and throughput. The -chaos flags inject a
+// per-stage timings, and throughput. -chaos injects the default
 // deterministic mix of dead/slow/flaky/5xx/truncated/takedown sites into
-// the feed (see docs/OPERATIONS.md); the -cpuprofile/-memprofile flags
-// capture pprof profiles of the run for performance work. The -journal
-// flags make the crawl itself crash-safe: every finished session streams
-// into a durable segment store, and -resume continues an interrupted run,
+// the feed, seeded from -seed; the -cpuprofile/-memprofile flags capture
+// pprof profiles of the run for performance work. The -journal flags make
+// the crawl itself crash-safe: every finished session streams into a
+// durable segment store, and -resume continues an interrupted run,
 // re-crawling only the URLs it never completed. -status-addr serves live
 // run progress (counts, ETA, per-stage latency percentiles) over HTTP, and
-// -progress prints a periodic one-line summary to stderr.
+// -progress prints a periodic one-line summary to stderr. The
+// -coordinator/-worker flags split one crawl across processes, and
+// -triage/-cloak-rate/-cloak-retries drive the clone-heavy and cloaked
+// feeds. docs/OPERATIONS.md is the flag reference.
 package main
 
 import (
@@ -45,22 +48,10 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write a heap profile taken after the crawl to this file")
 	journalDir := flag.String("journal", "", "stream finished sessions into a crash-safe journal at this directory")
 	resume := flag.Bool("resume", false, "resume the journal at -journal: skip already-completed URLs")
-	compact := flag.Bool("compact", false, "after the crawl, compact superseded records out of the journal")
-	journalSync := flag.String("journal-sync", "always", "journal fsync policy: always | group | batch | none")
+	journalSync := flag.String("journal-sync", "always", "journal fsync policy: always | group | none")
 
-	def := chaos.DefaultProfile()
-	chaosOn := flag.Bool("chaos", false, "inject operational faults into the feed (dead/stalling/slow/5xx/truncated/takedown/flaky sites)")
-	chaosSeed := flag.Int64("chaos-seed", 0, "fault-assignment seed (0 = derive from -seed)")
-	deadRate := flag.Float64("chaos-dead", def.DeadRate, "fraction of sites refusing connections")
-	stallRate := flag.Float64("chaos-stall", def.StallRate, "fraction of sites stalling past the fetch deadline")
-	slowRate := flag.Float64("chaos-slow", def.SlowRate, "fraction of sites answering slowly but within deadline")
-	serrRate := flag.Float64("chaos-5xx", def.ServerErrorRate, "fraction of sites answering every request with a 503")
-	truncRate := flag.Float64("chaos-truncate", def.TruncateRate, "fraction of sites truncating response bodies")
-	takedownRate := flag.Float64("chaos-takedown", def.TakedownRate, "fraction of sites replaced by a takedown page")
-	flakyRate := flag.Float64("chaos-flaky", def.FlakyRate, "fraction of sites resetting their first connections")
+	chaosOn := flag.Bool("chaos", false, "inject operational faults into the feed (dead/stalling/slow/5xx/truncated/takedown/flaky sites; default profile, seeded from -seed)")
 	retries := flag.Int("retries", 0, "extra attempts per transiently-failed session (0 = default 2)")
-	retryBase := flag.Duration("retry-base", 0, "backoff before the first retry (0 = farm default)")
-	retryMax := flag.Duration("retry-max", 0, "cap on the exponential backoff (0 = farm default)")
 	sessionBudget := flag.Duration("session-budget", 0, "per-session wall-clock budget (0 = crawler default, the paper's 20-minute timeout scaled)")
 	fetchTimeout := flag.Duration("fetch-timeout", 0, "per-fetch deadline (0 = browser default)")
 	statusAddr := flag.String("status-addr", "", "serve live run progress over HTTP at this address (e.g. 127.0.0.1:8844; /status, ?format=json; fleet-wide view in coordinator mode)")
@@ -90,7 +81,6 @@ func main() {
 		journalDir:        *journalDir,
 		journalSync:       *journalSync,
 		resume:            *resume,
-		compact:           *compact,
 		statusAddr:        *statusAddr,
 		out:               *out,
 		coordinator:       *coordinator,
@@ -126,12 +116,9 @@ func main() {
 		Seed:               *seed,
 		Workers:            *workers,
 		DetectorTrainPages: *detectorTrain,
-		ChaosSeed:          *chaosSeed,
 		SessionBudget:      *sessionBudget,
 		FetchTimeout:       *fetchTimeout,
 		MaxRetries:         *retries,
-		RetryBase:          *retryBase,
-		RetryMax:           *retryMax,
 		MinCampaignSize:    *campaignMin,
 		CloakRate:          *cloakRate,
 		CloakRetries:       *cloakRetries,
@@ -143,15 +130,8 @@ func main() {
 		}
 	}
 	if *chaosOn {
-		opts.Chaos = &chaos.Profile{
-			DeadRate:        *deadRate,
-			StallRate:       *stallRate,
-			SlowRate:        *slowRate,
-			ServerErrorRate: *serrRate,
-			TruncateRate:    *truncRate,
-			TakedownRate:    *takedownRate,
-			FlakyRate:       *flakyRate,
-		}
+		def := chaos.DefaultProfile()
+		opts.Chaos = &def
 		// Keep stall-vs-deadline separation sane at synthetic timescale:
 		// a stalling site must outlive the fetch deadline.
 		if opts.FetchTimeout == 0 {
@@ -192,7 +172,7 @@ func main() {
 		mon = farm.NewMonitor()
 	}
 	if *statusAddr != "" {
-		srv, addr, err := startStatus(*statusAddr, mon)
+		srv, addr, err := serveStatus(*statusAddr, monitorStatus(mon))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -200,7 +180,7 @@ func main() {
 		fmt.Printf("Status: serving live progress on http://%s/status\n", addr)
 	}
 	if *progressEvery > 0 {
-		defer startProgressLog(mon, *progressEvery)()
+		defer startProgressLog(func() string { return mon.Snapshot().String() }, *progressEvery)()
 	}
 
 	fmt.Printf("Building pipeline (%d sites, seed %d)...\n", *numSites, *seed)
@@ -241,13 +221,9 @@ func main() {
 		stats farm.Stats
 	)
 	if *journalDir != "" {
-		logs, stats = crawlJournaled(p, *journalDir, *sample, *resume, *compact, *journalSync)
+		logs, stats = crawlJournaled(p, *journalDir, *sample, *resume, *journalSync)
 	} else {
-		if *sample > 0 {
-			p.CrawlSample(*sample)
-		} else {
-			p.Crawl()
-		}
+		p.CrawlSample(*sample)
 		logs, stats = p.Logs, p.Stats
 	}
 
@@ -332,7 +308,7 @@ func exportLogs(path string, logs []*crawler.SessionLog) {
 // was SIGKILLed before writing its stats record — each session log carries
 // its trace); only elapsed time and panic counts, which no session log can
 // carry, merge from the per-run stats records.
-func crawlJournaled(p *core.Pipeline, dir string, sample int, resume, compact bool, syncPolicy string) ([]*crawler.SessionLog, farm.Stats) {
+func crawlJournaled(p *core.Pipeline, dir string, sample int, resume bool, syncPolicy string) ([]*crawler.SessionLog, farm.Stats) {
 	policy, err := parseSyncPolicy(syncPolicy)
 	if err != nil {
 		log.Fatal(err)
@@ -357,13 +333,6 @@ func crawlJournaled(p *core.Pipeline, dir string, sample int, resume, compact bo
 		fmt.Printf("Journal: resumed %s — %d URLs already complete, crawled %d\n", dir, skipped, p.Stats.Sites)
 	} else {
 		fmt.Printf("Journal: %d sessions journaled to %s\n", p.Stats.Sites, dir)
-	}
-	if compact {
-		dropped, err := j.Compact()
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("Journal: compaction dropped %d superseded records\n", dropped)
 	}
 
 	logs, err := j.Sessions()

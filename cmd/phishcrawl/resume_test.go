@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -8,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/journal"
 )
 
 // readExport reads an export verbatim. NetLog timestamps come from the
@@ -123,6 +126,40 @@ func TestKillResumeSmoke(t *testing.T) {
 	out := run("-journal", jdir, "-resume", "-o", resumed)
 	if !strings.Contains(out, "Journal: resumed") {
 		t.Fatalf("resume banner missing from output:\n%s", out)
+	}
+
+	// Resume skips every URL the journal already completed, so the killed
+	// run's sessions and the resumed run's never overlap: no URL may hold
+	// a superseded session record.
+	j, err := journal.Open(jdir, journal.Options{Sync: journal.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	perURL := map[string]int{}
+	err = j.Scan(func(r journal.Record) error {
+		if r.Kind != journal.KindSession {
+			return nil
+		}
+		var lg struct{ SeedURL string }
+		if err := json.Unmarshal(r.Payload, &lg); err != nil {
+			return err
+		}
+		perURL[lg.SeedURL]++
+		return nil
+	})
+	if cerr := j.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := strings.Count(readExport(t, clean), "\n"); len(perURL) != want {
+		t.Errorf("journal holds sessions for %d URLs after resume, want %d", len(perURL), want)
+	}
+	for u, n := range perURL {
+		if n > 1 {
+			t.Errorf("journal holds %d session records for %s after resume, want 1", n, u)
+		}
 	}
 
 	// Stage latency percentiles derive from session-logical traces, so the

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/farm"
+	"repro/internal/fleet"
 	"repro/internal/metrics"
 )
 
@@ -68,18 +69,11 @@ func makeStatusView(p farm.Progress) statusView {
 	return v
 }
 
-// startStatus binds addr and serves live run progress at /status: plain
-// text by default (the one-line progress summary plus the per-stage
-// percentile table), JSON with ?format=json. Returns the server (so main
-// can Close it) and the resolved listen address — pass ":0" or
-// "127.0.0.1:0" to let the kernel pick a free port.
-func startStatus(addr string, mon *farm.Monitor) (*http.Server, string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, "", fmt.Errorf("-status-addr %s: %w", addr, err)
-	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/status", func(w http.ResponseWriter, r *http.Request) {
+// monitorStatus serves a single-process run's live progress: plain text
+// by default (the one-line progress summary plus the per-stage percentile
+// table), JSON with ?format=json.
+func monitorStatus(mon *farm.Monitor) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		p := mon.Snapshot()
 		if r.URL.Query().Get("format") == "json" {
 			w.Header().Set("Content-Type", "application/json")
@@ -94,17 +88,31 @@ func startStatus(addr string, mon *farm.Monitor) (*http.Server, string, error) {
 			fmt.Fprintf(w, "\n%s", metrics.StageTable(p.Stages))
 		}
 	})
+}
+
+// serveStatus binds addr and serves status at /status and nothing else —
+// a single-process monitor or a coordinator's fleet view, never the lease
+// protocol. Returns the server (so main can Close it) and the resolved
+// listen address — pass ":0" or "127.0.0.1:0" to let the kernel pick a
+// free port.
+func serveStatus(addr string, status http.Handler) (*http.Server, string, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, "", fmt.Errorf("-status-addr %s: %w", addr, err)
+	}
+	mux := http.NewServeMux()
+	mux.Handle(fleet.PathStatus, status)
 	srv := &http.Server{Handler: mux}
 	//phishvet:ignore goroleak: Serve is stopped by the caller's deferred srv.Close; its return error is the normal ErrServerClosed
 	go srv.Serve(ln)
 	return srv, ln.Addr().String(), nil
 }
 
-// startProgressLog prints the monitor's one-line progress summary to
-// stderr every interval. The returned stop function halts the ticker and
-// prints one final line so the last state of a finished crawl is always
-// visible, however the interval aligned.
-func startProgressLog(mon *farm.Monitor, every time.Duration) (stop func()) {
+// startProgressLog prints line() to stderr every interval. The returned
+// stop function halts the ticker and prints one final line so the last
+// state of a finished crawl is always visible, however the interval
+// aligned.
+func startProgressLog(line func() string, every time.Duration) (stop func()) {
 	tick := time.NewTicker(every)
 	done := make(chan struct{})
 	finished := make(chan struct{})
@@ -113,7 +121,7 @@ func startProgressLog(mon *farm.Monitor, every time.Duration) (stop func()) {
 		for {
 			select {
 			case <-tick.C:
-				fmt.Fprintln(os.Stderr, mon.Snapshot().String())
+				fmt.Fprintln(os.Stderr, line())
 			case <-done:
 				return
 			}
@@ -123,6 +131,6 @@ func startProgressLog(mon *farm.Monitor, every time.Duration) (stop func()) {
 		tick.Stop()
 		close(done)
 		<-finished
-		fmt.Fprintln(os.Stderr, mon.Snapshot().String())
+		fmt.Fprintln(os.Stderr, line())
 	}
 }

@@ -46,8 +46,6 @@ type Options struct {
 	// detector is fitted on (paper: 10,000). Default 600, which reaches
 	// comparable accuracy on this substrate far faster.
 	DetectorTrainPages int
-	// MaxPagesPerSite bounds each crawl session.
-	MaxPagesPerSite int
 
 	// Chaos, when non-nil, wraps the serving transport in the fault
 	// injector so the synthetic feed exhibits the dead/slow/flaky/5xx mix
@@ -99,15 +97,13 @@ type Options struct {
 	// process-wide shared cache (SharedModels), so repeated pipelines with
 	// equal params train once.
 	Models *Models
-	// DisablePooling turns off per-session object-graph recycling: every
-	// session allocates its browser, trace slab, and render buffers fresh.
-	// Session exports are byte-identical either way (the pooled-vs-unpooled
-	// determinism pin); the switch exists for A/B measurement and as an
-	// escape hatch.
-	DisablePooling bool
 }
 
-func (o Options) withDefaults() Options {
+// WithDefaults returns o with every zero knob replaced by the value the
+// pipeline actually runs with, including the browser, crawler, and farm
+// defaults. Two option sets with equal WithDefaults crawl identical
+// sessions, which is what a fleet fingerprints.
+func (o Options) WithDefaults() Options {
 	if o.NumSites <= 0 {
 		o.NumSites = 1000
 	}
@@ -117,8 +113,14 @@ func (o Options) withDefaults() Options {
 	if o.DetectorTrainPages <= 0 {
 		o.DetectorTrainPages = 600
 	}
-	if o.MaxPagesPerSite <= 0 {
-		o.MaxPagesPerSite = crawler.DefaultMaxPages
+	if o.FetchTimeout <= 0 {
+		o.FetchTimeout = browser.DefaultFetchTimeout
+	}
+	if o.SessionBudget == 0 {
+		o.SessionBudget = crawler.DefaultSessionBudget
+	}
+	if o.MaxRetries == 0 {
+		o.MaxRetries = farm.DefaultMaxRetries
 	}
 	return o
 }
@@ -169,7 +171,7 @@ type Pipeline struct {
 // (-sites, -seed) derives exactly this feed, so the coordinator can shard
 // by index and never ship a URL over the wire.
 func NewFeed(opts Options) (*sitegen.Corpus, *feed.Feed) {
-	opts = opts.withDefaults()
+	opts = opts.WithDefaults()
 	params := sitegen.ScaledParams(opts.NumSites, opts.Seed)
 	params.MinCampaignSize = opts.MinCampaignSize
 	params.CloakRate = opts.CloakRate
@@ -180,7 +182,7 @@ func NewFeed(opts Options) (*sitegen.Corpus, *feed.Feed) {
 // NewPipeline generates the corpus, trains every model, and assembles the
 // crawler; call Crawl to run the measurement.
 func NewPipeline(opts Options) (*Pipeline, error) {
-	opts = opts.withDefaults()
+	opts = opts.WithDefaults()
 	p := &Pipeline{Opts: opts}
 
 	// Corpus and feed.
@@ -245,13 +247,10 @@ func NewPipeline(opts Options) (*Pipeline, error) {
 		NewBrowser: func() *browser.Browser {
 			return browser.New(browser.Options{Transport: transport, Timeout: opts.FetchTimeout})
 		},
-		MaxPages:      opts.MaxPagesPerSite,
 		SessionBudget: opts.SessionBudget,
 		FakerSeed:     opts.Seed + 6,
 		CloakRetries:  opts.CloakRetries,
-	}
-	if !opts.DisablePooling {
-		p.Crawler.Pool = crawler.NewSessionPool()
+		Pool:          crawler.NewSessionPool(),
 	}
 
 	// Triage plan: built before any crawl, over the same browser factory
@@ -317,20 +316,18 @@ func (p *Pipeline) farmConfig() farm.Config {
 
 // Crawl runs the farm over the filtered feed and attaches feed metadata to
 // the session logs.
-func (p *Pipeline) Crawl() {
+func (p *Pipeline) Crawl() { p.CrawlSample(0) }
+
+// CrawlSample crawls only the first n feed entries (0 = all; for quick
+// looks and examples); metadata is attached as in Crawl.
+func (p *Pipeline) CrawlSample(n int) {
 	urls := p.Feed.URLs()
+	if n > 0 && n < len(urls) {
+		urls = urls[:n]
+	}
 	p.Logs, p.Stats = farm.Run(p.farmConfig(), urls)
 	analysis.AttachMeta(p.Logs, p.Feed.Filter())
-	p.stampTriage(p.Logs)
-}
-
-// stampTriage attaches the triage verdicts to finished logs (no-op when
-// triage is off).
-func (p *Pipeline) stampTriage(logs []*crawler.SessionLog) {
-	if p.Triage == nil {
-		return
-	}
-	for _, lg := range logs {
+	for _, lg := range p.Logs {
 		p.Triage.Stamp(lg)
 	}
 }
@@ -462,35 +459,7 @@ func (p *Pipeline) CrawlJournal(j *journal.Journal, sample int) (skipped int, er
 		}
 	}
 	p.Monitor.AddPreCompleted(skipped)
-	if err := p.ensureTriageJournaled(j); err != nil {
-		return skipped, err
-	}
-	if err := p.ensureCloakJournaled(j); err != nil {
-		return skipped, err
-	}
-	byURL := analysis.MetaIndex(p.Feed.Filter())
-	cfg := p.farmConfig()
-	cfg.Skip = func(_ int, u string) bool { return j.Completed(u) }
-	cfg.Sink = func(_ int, lg *crawler.SessionLog) error {
-		analysis.AttachMetaIndexed(lg, byURL)
-		p.Triage.Stamp(lg)
-		return j.AppendSession(lg)
-	}
-	// The sink touches only its own session (metadata attach) and the
-	// journal, whose appends are internally serialized — and batched, under
-	// the group-commit sync policy. Concurrent delivery keeps workers from
-	// queueing on the farm's tally lock for every fsync.
-	cfg.SinkConcurrent = true
-	p.Logs = nil
-	p.Stats, err = farm.RunStream(cfg, urls)
-	if err != nil {
-		return skipped, fmt.Errorf("core: journaling crawl: %w", err)
-	}
-	//phishvet:ignore detertaint: Stats.Elapsed is per-run operational accounting — determinism pins compare session records, never stats timing
-	if err := j.AppendStats(p.Stats); err != nil {
-		return skipped, fmt.Errorf("core: journaling run stats: %w", err)
-	}
-	return skipped, nil
+	return skipped, p.crawlJournal(j, urls, func(_ int, u string) bool { return j.Completed(u) })
 }
 
 // CrawlJournalShard is the fleet-worker crawl: it crawls only the feed
@@ -508,6 +477,16 @@ func (p *Pipeline) CrawlJournalShard(j *journal.Journal, start, end int, done ma
 	if start < 0 || end > len(urls) || start > end {
 		return fmt.Errorf("core: shard range [%d,%d) outside feed of %d URLs", start, end, len(urls))
 	}
+	return p.crawlJournal(j, urls, func(idx int, u string) bool {
+		return idx < start || idx >= end || done[u] || j.Completed(u)
+	})
+}
+
+// crawlJournal is the body both journaled crawls share: reconcile the
+// journal's triage and cloak records with this run, crawl urls minus those
+// skip rejects, journal each finished session as it completes, and append
+// the run's stats record.
+func (p *Pipeline) crawlJournal(j *journal.Journal, urls []string, skip func(idx int, u string) bool) error {
 	if err := p.ensureTriageJournaled(j); err != nil {
 		return err
 	}
@@ -516,38 +495,28 @@ func (p *Pipeline) CrawlJournalShard(j *journal.Journal, start, end int, done ma
 	}
 	byURL := analysis.MetaIndex(p.Feed.Filter())
 	cfg := p.farmConfig()
-	cfg.Skip = func(idx int, u string) bool {
-		return idx < start || idx >= end || done[u] || j.Completed(u)
-	}
+	cfg.Skip = skip
 	cfg.Sink = func(_ int, lg *crawler.SessionLog) error {
 		analysis.AttachMetaIndexed(lg, byURL)
 		p.Triage.Stamp(lg)
 		return j.AppendSession(lg)
 	}
+	// The sink touches only its own session (metadata attach) and the
+	// journal, whose appends are internally serialized — and batched, under
+	// the group-commit sync policy. Concurrent delivery keeps workers from
+	// queueing on the farm's tally lock for every fsync.
 	cfg.SinkConcurrent = true
 	p.Logs = nil
 	var err error
 	p.Stats, err = farm.RunStream(cfg, urls)
 	if err != nil {
-		return fmt.Errorf("core: journaling shard crawl: %w", err)
+		return fmt.Errorf("core: journaling crawl: %w", err)
 	}
 	//phishvet:ignore detertaint: Stats.Elapsed is per-run operational accounting — determinism pins compare session records, never stats timing
 	if err := j.AppendStats(p.Stats); err != nil {
-		return fmt.Errorf("core: journaling shard stats: %w", err)
+		return fmt.Errorf("core: journaling run stats: %w", err)
 	}
 	return nil
-}
-
-// CrawlSample crawls only the first n feed entries (for quick looks and
-// examples); metadata is attached as in Crawl.
-func (p *Pipeline) CrawlSample(n int) {
-	urls := p.Feed.URLs()
-	if n < len(urls) {
-		urls = urls[:n]
-	}
-	p.Logs, p.Stats = farm.Run(p.farmConfig(), urls)
-	analysis.AttachMeta(p.Logs, p.Feed.Filter())
-	p.stampTriage(p.Logs)
 }
 
 // CaptchaAnalysisOptions returns the configured verification options for

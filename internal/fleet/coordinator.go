@@ -209,7 +209,7 @@ func (c *Coordinator) sweepExpiredLocked(now time.Time) {
 // grant answers one lease request.
 func (c *Coordinator) grant(req LeaseRequest) (LeaseResponse, error) {
 	if req.Params != c.cfg.Params {
-		return LeaseResponse{}, fmt.Errorf("fleet: worker %s params (%s) do not match coordinator (%s); every fleet process needs identical -sites/-seed/-chaos flags",
+		return LeaseResponse{}, fmt.Errorf("fleet: worker %s params (%s) do not match coordinator (%s); every fleet process needs identical -sites/-seed/-chaos/-detector-train/-fetch-timeout/-session-budget/-retries, triage, cloak, and -campaign-min flags",
 			req.Worker, req.Params, c.cfg.Params)
 	}
 	c.mu.Lock()
@@ -423,7 +423,15 @@ func (c *Coordinator) Handler() http.Handler {
 		}
 		writeJSON(w, c.result(req))
 	})
-	mux.HandleFunc(PathStatus, func(w http.ResponseWriter, r *http.Request) {
+	mux.Handle(PathStatus, c.StatusHandler())
+	return mux
+}
+
+// StatusHandler serves GET /status alone: the fleet-wide progress view as
+// plain text, or JSON with ?format=json. It is what a monitoring port
+// mounts, without the lease protocol beside it.
+func (c *Coordinator) StatusHandler() http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		st := c.Status()
 		if r.URL.Query().Get("format") == "json" {
 			w.Header().Set("Content-Type", "application/json")
@@ -438,7 +446,6 @@ func (c *Coordinator) Handler() http.Handler {
 			fmt.Fprintf(w, "\n%s", metrics.StageTable(st.Stages))
 		}
 	})
-	return mux
 }
 
 func decodeInto(w http.ResponseWriter, r *http.Request, v any) bool {

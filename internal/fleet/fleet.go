@@ -37,15 +37,22 @@ const (
 )
 
 // Params pins the deterministic universe a fleet crawls. Every worker
-// derives the feed locally, so the coordinator refuses workers whose
-// parameters would derive a different one — a mismatched -sites or -seed
-// would silently corrupt the merged output otherwise.
+// derives the feed locally and crawls it with its own options, so the
+// coordinator refuses workers whose parameters would derive a different
+// feed or different session bytes — a mismatched -sites or -seed would
+// silently corrupt the merged output otherwise.
 type Params struct {
-	Sites     int    `json:"sites"`
-	Seed      int64  `json:"seed"`
-	ChaosSeed int64  `json:"chaosSeed"`
-	Chaos     string `json:"chaos,omitempty"` // fingerprint of the chaos profile ("" = healthy feed)
-	FeedURLs  int    `json:"feedUrls"`        // full feed length, pre -sample
+	Sites    int   `json:"sites"`
+	Seed     int64 `json:"seed"`
+	Chaos    bool  `json:"chaos,omitempty"` // fault injection on (the default profile, seeded from Seed)
+	FeedURLs int   `json:"feedUrls"`        // full feed length, pre -sample
+	// DetectorTrain, FetchTimeout, SessionBudget, and Retries are the
+	// effective (post-default) crawl knobs: each changes detections or
+	// outcomes, so workers must agree on all of them.
+	DetectorTrain int           `json:"detectorTrain"`
+	FetchTimeout  time.Duration `json:"fetchTimeout"`
+	SessionBudget time.Duration `json:"sessionBudget"`
+	Retries       int           `json:"retries"`
 	// Triage fingerprints the triage configuration ("" = triage off;
 	// otherwise "threshold=…,topk=…"). Triage decides which URLs get full
 	// sessions, so a worker disagreeing on it would merge a different
@@ -62,8 +69,8 @@ type Params struct {
 }
 
 func (p Params) String() string {
-	return fmt.Sprintf("sites=%d seed=%d chaosSeed=%d chaos=%q feed=%d triage=%q cloak=%q minCampaign=%d",
-		p.Sites, p.Seed, p.ChaosSeed, p.Chaos, p.FeedURLs, p.Triage, p.Cloak, p.MinCampaign)
+	return fmt.Sprintf("sites=%d seed=%d chaos=%t feed=%d detectorTrain=%d fetchTimeout=%v sessionBudget=%v retries=%d triage=%q cloak=%q minCampaign=%d",
+		p.Sites, p.Seed, p.Chaos, p.FeedURLs, p.DetectorTrain, p.FetchTimeout, p.SessionBudget, p.Retries, p.Triage, p.Cloak, p.MinCampaign)
 }
 
 // Lease is one unit of fleet work: crawl the feed-index range

@@ -38,9 +38,6 @@ const (
 	// SyncAlways fsyncs after every record: a crash loses at most the
 	// record being written. The default, and what a 43-day crawl wants.
 	SyncAlways SyncPolicy = iota
-	// SyncBatch fsyncs every Options.SyncEvery records and at checkpoint,
-	// roll, and close: bounded loss, far fewer fsyncs.
-	SyncBatch
 	// SyncNone leaves durability to the OS page cache (tests, throwaway
 	// runs). Close still syncs.
 	SyncNone
@@ -62,8 +59,6 @@ type Options struct {
 	SegmentBytes int
 	// Sync is the fsync policy (default SyncAlways).
 	Sync SyncPolicy
-	// SyncEvery is the SyncBatch interval in records (default 32).
-	SyncEvery int
 	// CheckpointEvery rewrites the completed-URL checkpoint after this
 	// many session appends (default 256). The checkpoint is an
 	// optimization only — recovery never trusts it past the data.
@@ -73,9 +68,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 4 << 20
-	}
-	if o.SyncEvery <= 0 {
-		o.SyncEvery = 32
 	}
 	if o.CheckpointEvery <= 0 {
 		o.CheckpointEvery = 256
@@ -124,7 +116,7 @@ type Journal struct {
 	activeSize int64
 	nextSeq    uint64
 	completed  map[string]uint64
-	unsynced   int // appends since the last fsync (SyncBatch, SyncGroup)
+	unsynced   int // appends since the last fsync
 	dirtyCkpt  int // session appends since the last checkpoint write
 	closed     bool
 
@@ -142,8 +134,7 @@ type Journal struct {
 // Open opens (or creates) the journal in dir, recovering from any crash
 // that interrupted a previous writer: a torn record at the tail of the
 // last segment is truncated away, an orphan segment from an interrupted
-// roll is adopted, stale segments from an interrupted compaction are
-// removed, and a checkpoint that claims more than the surviving data is
+// roll is adopted, and a checkpoint that claims more than the surviving data is
 // discarded and rebuilt by scanning. Corruption anywhere else (a sealed
 // segment that no longer parses) is an error, never silent loss.
 func Open(dir string, opts Options) (*Journal, error) {
@@ -225,20 +216,12 @@ func (j *Journal) loadManifest() error {
 			lastName = m.Segments[len(m.Segments)-1].Name
 		}
 		for _, name := range onDisk {
-			switch {
-			case listed[name]:
-			case name > lastName:
+			if !listed[name] && name > lastName {
 				// An orphan past the manifest's tail: a roll crashed after
 				// creating the file but before committing the manifest. It
 				// holds no records (writes only move after the commit);
 				// adopt it as the next segment.
 				j.segments = append(j.segments, segmentInfo{Name: name})
-			default:
-				// A leftover below the manifest's tail: an interrupted
-				// compaction already committed a manifest without it.
-				if err := os.Remove(filepath.Join(j.dir, name)); err != nil {
-					return fmt.Errorf("journal: removing stale segment: %w", err)
-				}
 			}
 		}
 	}
@@ -456,12 +439,6 @@ func (j *Journal) appendLocked(kind Kind, payload []byte) (uint64, error) {
 		if err := j.syncActiveLocked(); err != nil {
 			return 0, err
 		}
-	case SyncBatch:
-		if j.unsynced >= j.opts.SyncEvery {
-			if err := j.syncActiveLocked(); err != nil {
-				return 0, err
-			}
-		}
 	case SyncGroup, SyncNone:
 		// SyncGroup records reach here through the commit loop, which
 		// fsyncs the whole batch in commitBatchLocked; SyncNone leaves
@@ -663,7 +640,7 @@ func scanSegmentFile(path string, fn func(Record) error) error {
 }
 
 // Sessions decodes every session record and returns the latest session per
-// URL (compaction semantics applied at read time), ordered by FeedIndex —
+// URL (a re-crawl supersedes the earlier record), ordered by FeedIndex —
 // the same order an uninterrupted in-memory run would have produced, so
 // the export is byte-identical to one.
 func (j *Journal) Sessions() ([]*crawler.SessionLog, error) {

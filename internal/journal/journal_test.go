@@ -150,7 +150,7 @@ func TestJournalResumeSkipsCompleted(t *testing.T) {
 	}
 }
 
-func TestJournalSupersededRetryRecordsAndCompaction(t *testing.T) {
+func TestJournalSupersededRetryRecords(t *testing.T) {
 	dir := t.TempDir()
 	j := mustOpen(t, dir, Options{SegmentBytes: 512, Sync: SyncNone})
 	appendN(t, j, 12, 0)
@@ -179,26 +179,16 @@ func TestJournalSupersededRetryRecordsAndCompaction(t *testing.T) {
 		}
 	}
 	check(j, 12)
-
-	dropped, err := j.Compact()
-	if err != nil {
-		t.Fatalf("Compact: %v", err)
-	}
-	if dropped != 3 {
-		t.Fatalf("Compact dropped %d records, want 3", dropped)
-	}
-	check(j, 12)
-	// Still appendable after compaction, and the rewrite survives reopen.
-	appendN(t, j, 1, 12)
+	// The superseding records win again after reopen.
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
 	j2 := mustOpen(t, dir, Options{})
 	defer j2.Close()
-	if j2.CompletedCount() != 13 {
-		t.Fatalf("CompletedCount after compact+reopen = %d, want 13", j2.CompletedCount())
+	if j2.CompletedCount() != 12 {
+		t.Fatalf("CompletedCount after reopen = %d, want 12", j2.CompletedCount())
 	}
-	check(j2, 13)
+	check(j2, 12)
 }
 
 func TestJournalManifestRebuiltFromSegments(t *testing.T) {
