@@ -89,15 +89,18 @@ triage-smoke:
 cloak-smoke:
 	$(GO) test -run 'CloakSmoke' ./cmd/phishcrawl/...
 
-# Coverage-guided fuzzing of the journal's record framing: encode/decode
-# round-trips, CRC mismatch detection, and hostile length prefixes.
+# Coverage-guided fuzzing, one line per target (-fuzz takes one target per
+# package): the journal's record framing (encode/decode round-trips, CRC
+# mismatch detection, hostile length prefixes) and the detector's checkbox
+# kernel against its reference query loop (bit-identical scores).
 fuzz:
-	$(GO) test -run='^$$' -fuzz=FuzzRecordRoundTrip -fuzztime=15s ./internal/journal
+	$(GO) test -run='^$$' -fuzz='^FuzzRecordRoundTrip$$' -fuzztime=15s ./internal/journal
+	$(GO) test -run='^$$' -fuzz='^FuzzCheckboxScore$$' -fuzztime=10s ./internal/vision
 
 # Hot-path microbenchmarks plus the end-to-end throughput run. Scale the
 # corpus with PHISH_BENCH_SITES (default 600).
 bench:
-	$(GO) test -run='^$$' -bench='BenchmarkDetect|BenchmarkOCRPage|BenchmarkCrawlThroughput|BenchmarkNewPipeline' -benchmem ./...
+	$(GO) test -run='^$$' -bench='BenchmarkDetect|BenchmarkCheckboxScore|BenchmarkOCRPage|BenchmarkCrawlThroughput|BenchmarkNewPipeline' -benchmem ./...
 
 # Allocation gates: the per-session allocs/op budgets and the
 # pooled-vs-unpooled byte-identity pins (testing.AllocsPerRun enforces the

@@ -32,6 +32,15 @@ func (h Hash) String() string {
 	return fmt.Sprintf("%016x%016x%016x%016x", h[0], h[1], h[2], h[3])
 }
 
+// intensity is raster.ColorIntensity for every byte value a pixel can hold,
+// so the block sums index a table instead of bounds-checking each pixel.
+var intensity = func() (t [256]int) {
+	for c := range t {
+		t[c] = raster.ColorIntensity(raster.Color(c))
+	}
+	return t
+}()
+
 // Compute returns the perceptual hash of img.
 func Compute(img *raster.Image) Hash {
 	// Downsample intensities to gridW x gridH by block averaging.
@@ -49,16 +58,14 @@ func Compute(img *raster.Image) Hash {
 			if y1 <= y0 {
 				y1 = y0 + 1
 			}
-			sum, n := 0, 0
-			for y := y0; y < y1 && y < img.H; y++ {
-				for x := x0; x < x1 && x < img.W; x++ {
-					sum += img.Intensity(x, y)
-					n++
+			x1, y1 = min(x1, img.W), min(y1, img.H)
+			sum := 0
+			for y := y0; y < y1; y++ {
+				for _, c := range img.Pix[y*img.W+x0 : y*img.W+x1] {
+					sum += intensity[c]
 				}
 			}
-			if n > 0 {
-				grid[gy][gx] = sum / n
-			}
+			grid[gy][gx] = sum / ((x1 - x0) * (y1 - y0))
 		}
 	}
 	var h Hash

@@ -49,6 +49,11 @@ func Decode(data []byte) (*Image, error) {
 	if w <= 0 || h <= 0 || w > 1<<14 || h > 1<<14 {
 		return nil, fmt.Errorf("%w: bad dimensions %dx%d", ErrBadImage, w, h)
 	}
+	// Each run covers at most 255 pixels: refuse a payload too short to
+	// fill the image before allocating it.
+	if runs := (w*h + 254) / 255; (len(data)-12)/2 < runs {
+		return nil, fmt.Errorf("%w: %d payload bytes cannot fill %dx%d", ErrBadImage, len(data)-12, w, h)
+	}
 	im := New(w, h, White)
 	pos := 0
 	for i := 12; i+1 < len(data); i += 2 {

@@ -11,9 +11,10 @@ import "sync"
 // of it (NewIntegralRegion). The detector builds one Integral per proposal
 // region and shares it across proposal tightening (binary-searched on
 // NonWhiteCount), the grid/border scores (one query per row, column, or
-// strip), and the checkbox search (one query per candidate square instead
-// of a quadratic pixel scan). Screenshots are mostly background, so region
-// tables touch far fewer pixels than a whole-page table would.
+// strip), and the checkbox search, which OutlinedSquareScore evaluates as
+// index arithmetic straight on the prefix-sum grid rather than as queries.
+// Screenshots are mostly background, so region tables touch far fewer
+// pixels than a whole-page table would.
 //
 // Only the three statistics that are queried many times per window get
 // prefix-sum lanes; one-shot whole-window statistics (the color histogram
@@ -156,6 +157,66 @@ func (in *Integral) LightCount(r Rect) int {
 		return 0
 	}
 	return in.sumLane(laneLight, r)
+}
+
+// OutlinedSquareScore returns the best outline share × interior light share
+// over squares of sizes 8, 10, ..., 16 placed at least 2 pixels inside r,
+// ending left of r's left third and more than 2 pixels above its bottom.
+// The outline share is the non-white count of the square's four one-pixel
+// edge strips (corners counted twice) over 4·size; the light share is the
+// light count of the square inset by 2 pixels over the inset's area. The
+// detector uses it as its "I'm not a robot" checkbox feature. r is clipped
+// to the covered region first.
+//
+// Every candidate lies inside r, so the strip and inset counts are read
+// straight off the prefix-sum grid, without the per-query clipping of
+// NonWhiteCount and LightCount. They are the same integers, combined by the
+// same float expression, so the score is bit-identical to that query loop.
+func (in *Integral) OutlinedSquareScore(r Rect) float64 {
+	r = r.Intersect(in.Region)
+	if r.Empty() {
+		return 0
+	}
+	s := (in.Region.W + 1) * intLanes
+	d := in.data
+	x0, y0 := r.X-in.Region.X, r.Y-in.Region.Y
+	best := 0.0
+	for size := 8; size <= 16; size += 2 {
+		xa, xb := x0+2, x0+r.W/3-size // candidate left edges [xa, xb)
+		if xb <= xa {
+			continue
+		}
+		inner := size - 4
+		n := float64(inner * inner)
+		per := float64(4 * size)
+		w := size * intLanes
+		m := (xb - xa) * intLanes
+		// lane returns one grid row's prefix sums at the given offset from
+		// each candidate's left edge, as a slice the candidate loop walks
+		// in step: every read in that loop is then provably in bounds.
+		lane := func(row, off int) []int32 { return d[row*s+xa*intLanes+off:][:m] }
+		insetL, insetR := 2*intLanes+laneLight, w-2*intLanes+laneLight
+		for y := y0 + 2; y+size < y0+r.H-2; y++ {
+			t0, t1, tm, tw := lane(y, 0), lane(y, intLanes), lane(y, w-intLanes), lane(y, w)
+			u0, uw := lane(y+1, 0), lane(y+1, w)
+			v0, vw := lane(y+size-1, 0), lane(y+size-1, w)
+			b0, b1, bm, bw := lane(y+size, 0), lane(y+size, intLanes), lane(y+size, w-intLanes), lane(y+size, w)
+			i0, i1 := lane(y+2, insetL), lane(y+2, insetR)
+			j0, j1 := lane(y+size-2, insetL), lane(y+size-2, insetR)
+			for c := 0; c < m; c += intLanes {
+				hit := uw[c] - tw[c] - u0[c] + t0[c] + // top row
+					bw[c] - vw[c] - b0[c] + v0[c] + // bottom row
+					b1[c] - t1[c] - b0[c] + t0[c] + // left column
+					bw[c] - tw[c] - bm[c] + tm[c] // right column
+				light := j1[c] - i1[c] - j0[c] + i0[c]
+				edge := float64(hit) / per
+				if v := edge * float64(light) / n; v > best {
+					best = v
+				}
+			}
+		}
+	}
+	return best
 }
 
 // Stats scans r directly (one O(r.Area()) pass over the source image) and

@@ -1,6 +1,7 @@
 package raster
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -296,6 +297,25 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	data := Encode(im)
 	if _, err := Decode(data[:len(data)-2]); err == nil {
 		t.Error("truncated data should fail")
+	}
+}
+
+// TestDecodeShortPayloadAllocatesLittle pins that a header promising a huge
+// image is refused before the pixel buffer is allocated: 12 bytes must not
+// cost 16384² bytes.
+func TestDecodeShortPayloadAllocatesLittle(t *testing.T) {
+	data := append([]byte("PXI1"), 0, 0, 0x40, 0, 0, 0, 0x40, 0) // 16384 x 16384, no runs
+	if _, err := Decode(data); !errors.Is(err, ErrBadImage) {
+		t.Fatalf("Decode(huge header) = %v, want ErrBadImage", err)
+	}
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_, _ = Decode(data)
+		}
+	})
+	if got := res.AllocedBytesPerOp(); got >= 1024 {
+		t.Errorf("Decode(huge header) allocates %d B/op, want < 1 KB", got)
 	}
 }
 

@@ -132,31 +132,14 @@ func borderScore(in *raster.Integral, r raster.Rect) float64 {
 }
 
 // checkboxScore looks for a small light square with a darker outline in the
-// left quarter of the region — the signature of the "I'm not a robot"
-// widget. With the integral image each candidate square costs O(1) instead
-// of O(size^2).
+// left third of the region — the signature of the "I'm not a robot"
+// widget — as the best outline × interior-light share of the candidate
+// squares (raster.Integral.OutlinedSquareScore).
 func checkboxScore(in *raster.Integral, r raster.Rect) float64 {
 	if r.W < 30 || r.H < 14 {
 		return 0
 	}
-	best := 0.0
-	for size := 8; size <= 16; size += 2 {
-		inner := size - 4
-		n := inner * inner
-		for y := r.Y + 2; y+size < r.Y+r.H-2; y++ {
-			for x := r.X + 2; x+size < r.X+r.W/3; x++ {
-				sq := raster.R(x, y, size, size)
-				// Outline must be non-white, interior light.
-				edge := borderScore(in, sq)
-				interiorLight := in.LightCount(raster.R(sq.X+2, sq.Y+2, inner, inner))
-				s := edge * float64(interiorLight) / float64(n)
-				if s > best {
-					best = s
-				}
-			}
-		}
-	}
-	return best
+	return in.OutlinedSquareScore(r)
 }
 
 // headerScore measures whether the region's top strip is a solid saturated

@@ -1,6 +1,7 @@
 package vision
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -221,3 +222,135 @@ func BenchmarkDetect(b *testing.B) {
 		d.Detect(ex.Image)
 	}
 }
+
+// checkboxScoreRef is the checkbox search as five clipped Integral queries
+// per candidate square: the reference checkboxScore must match bit for bit.
+func checkboxScoreRef(in *raster.Integral, r raster.Rect) float64 {
+	if r.W < 30 || r.H < 14 {
+		return 0
+	}
+	best := 0.0
+	for size := 8; size <= 16; size += 2 {
+		inner := size - 4
+		n := inner * inner
+		for y := r.Y + 2; y+size < r.Y+r.H-2; y++ {
+			for x := r.X + 2; x+size < r.X+r.W/3; x++ {
+				sq := raster.R(x, y, size, size)
+				// Outline must be non-white, interior light.
+				edge := borderScore(in, sq)
+				interiorLight := in.LightCount(raster.R(sq.X+2, sq.Y+2, inner, inner))
+				s := edge * float64(interiorLight) / float64(n)
+				if s > best {
+					best = s
+				}
+			}
+		}
+	}
+	return best
+}
+
+// checkCheckbox compares checkboxScore with the reference on window r of in,
+// clipped to the table's region as featuresInto clips it.
+func checkCheckbox(t *testing.T, in *raster.Integral, r raster.Rect) {
+	t.Helper()
+	r = r.Intersect(in.Region)
+	got, want := checkboxScore(in, r), checkboxScoreRef(in, r)
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("checkboxScore(%v) over %v = %v, reference %v", r, in.Region, got, want)
+	}
+}
+
+func TestCheckboxScoreMatchesReferenceOnPages(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	windows := 0
+	for i := 0; i < 3*int(captcha.NumKinds); i++ {
+		ex := buildPage(rng, captcha.AllKinds()[i%int(captcha.NumKinds)])
+		for _, p := range proposalsIn(ex.Image) {
+			checkCheckbox(t, p.in, p.box)
+			windows++
+			p.in.Release()
+		}
+		for _, an := range ex.Annotations {
+			in := raster.NewIntegralRegion(ex.Image, an.Box)
+			checkCheckbox(t, in, an.Box)
+			in.Release()
+		}
+	}
+	if windows == 0 {
+		t.Fatal("no proposals on the generated pages")
+	}
+}
+
+// plantedImage is a random page with outlined light squares of sizes 8-16
+// planted in it, so the search meets both near-perfect and partial
+// candidates.
+func plantedImage(rng *rand.Rand, w, h int) *raster.Image {
+	img := raster.New(w, h, raster.White)
+	for i := range img.Pix {
+		if rng.Intn(4) == 0 {
+			img.Pix[i] = raster.Color(rng.Intn(int(raster.NumColors)))
+		}
+	}
+	light := []raster.Color{raster.White, raster.LightGray, raster.Yellow, raster.Pink}
+	for k := rng.Intn(6); k > 0; k-- {
+		size := 8 + rng.Intn(9)
+		sq := raster.R(rng.Intn(w), rng.Intn(h), size, size)
+		img.Fill(sq, light[rng.Intn(len(light))])
+		img.Outline(sq, raster.Color(1+rng.Intn(int(raster.NumColors)-1)))
+	}
+	return img
+}
+
+func TestCheckboxScoreMatchesReferenceOnRandomImages(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for trial := 0; trial < 60; trial++ {
+		w, h := 40+rng.Intn(160), 20+rng.Intn(100)
+		img := plantedImage(rng, w, h)
+		// A table over a non-origin region, and windows offset inside it.
+		reg := raster.R(1+rng.Intn(8), 1+rng.Intn(8), w-rng.Intn(20), h-rng.Intn(16))
+		in := raster.NewIntegralRegion(img, reg)
+		for q := 0; q < 8; q++ {
+			r := raster.R(in.Region.X+rng.Intn(10), in.Region.Y+rng.Intn(6),
+				30+rng.Intn(in.Region.W), 14+rng.Intn(in.Region.H))
+			checkCheckbox(t, in, r)
+		}
+		in.Release()
+	}
+}
+
+func FuzzCheckboxScore(f *testing.F) {
+	f.Add([]byte{}, uint8(60), uint8(30), uint8(0), uint8(0), uint8(0), uint8(0))
+	f.Add([]byte{0, 0, 1, 3, 0, 2, 7}, uint8(90), uint8(40), uint8(3), uint8(2), uint8(5), uint8(1))
+	f.Fuzz(func(t *testing.T, pix []byte, w, h, rx, ry, wx, wy uint8) {
+		img := raster.New(int(w%128)+1, int(h%64)+1, raster.White)
+		// Repeat the input over the image with long white runs between,
+		// so small inputs still draw outlines on a light background.
+		for i := range img.Pix {
+			if len(pix) > 0 && i%(len(pix)+3) < len(pix) {
+				img.Pix[i] = raster.Color(pix[i%(len(pix)+3)] % uint8(raster.NumColors+1))
+			}
+		}
+		in := raster.NewIntegralRegion(img, raster.R(int(rx%16), int(ry%16), img.W, img.H))
+		defer in.Release()
+		checkCheckbox(t, in, raster.R(in.Region.X+int(wx%8), in.Region.Y+int(wy%8), img.W, img.H))
+	})
+}
+
+// BenchmarkCheckboxScore runs the checkbox search over one text-dense
+// 420x320 window, the shape of a large proposal on a form page.
+func BenchmarkCheckboxScore(b *testing.B) {
+	img := raster.New(420, 320, raster.White)
+	for y := 4; y+raster.GlyphH < img.H; y += raster.GlyphH + 4 {
+		img.DrawString("SIGN IN TO CONTINUE 0123 VERIFY YOUR ACCOUNT", 4, y, raster.Black)
+	}
+	r := raster.R(0, 0, img.W, img.H)
+	in := raster.NewIntegralRegion(img, r)
+	defer in.Release()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchScore = checkboxScore(in, r)
+	}
+}
+
+var benchScore float64
